@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gl import GlElement, bracket
+from .linalg import SparseMatrix, add_scaled, solve
 from .pbw import PbwContext, PbwElement, Word
 from .pyramids import Pyramid, is_even
 
@@ -104,12 +105,7 @@ class BrstContext:
             result = {k: -v for k, v in self._normalize_odd(swapped).items()}
             if ta == "b" and tb == "f" and ia == ib:
                 rest = word[:pos] + word[pos + 2:]
-                for k, v in self._normalize_odd(rest).items():
-                    acc = result.get(k, Fraction(0)) + v
-                    if acc:
-                        result[k] = acc
-                    else:
-                        result.pop(k, None)
+                add_scaled(result, self._normalize_odd(rest))
         self._odd_cache[word] = result
         return result
 
@@ -126,13 +122,8 @@ class BrstContext:
                 u = self.pbw.multiply(u1, PbwElement(self.pbw, {w2: Fraction(1)}))
                 c = c1 * c2
                 for (fs, bs), sgn in self._normalize_odd(odd).items():
-                    for w, k in u.terms.items():
-                        key = (fs, w, bs)
-                        acc = terms.get(key, Fraction(0)) + c * sgn * k
-                        if acc:
-                            terms[key] = acc
-                        else:
-                            terms.pop(key, None)
+                    add_scaled(terms, {(fs, w, bs): k
+                                       for w, k in u.terms.items()}, c * sgn)
         return BrstElement(self, terms)
 
     # -- the odd charge and the differential ----------------------------------
@@ -152,22 +143,23 @@ class BrstContext:
         """
         k = self.k
         if basis_change is None:
-            t_mat = [[Fraction(1 if a == i else 0) for i in range(k)]
+            basis_change = [[int(a == i) for i in range(k)] for a in range(k)]
+        t_mat = SparseMatrix(k, k, {(a, i): v
+                                    for a, row in enumerate(basis_change)
+                                    for i, v in enumerate(row)})
+        # Column a of T^-1 solves T x = e_a.
+        tinv_cols = [solve(t_mat, [int(i == a) for i in range(k)])
                      for a in range(k)]
-        else:
-            t_mat = [[Fraction(v) for v in row] for row in basis_change]
-        tinv = _invert(t_mat)
+        if None in tinv_cols:
+            raise ValueError("basis change is singular")
 
-        f_primed = [BrstElement(self, {((a,), (), ()): tinv[i][a]
-                                       for a in range(k) if tinv[i][a]})
+        f_primed = [BrstElement(self, {((a,), (), ()): tinv_cols[a][i]
+                                       for a in range(k) if tinv_cols[a][i]})
                     for i in range(k)]
-        b_primed_gl = []
-        for i in range(k):
-            acc = GlElement.zero(self.pbw.n)
-            for a in range(k):
-                if t_mat[a][i]:
-                    acc = acc + self.m_element(a).scale(t_mat[a][i])
-            b_primed_gl.append(acc)
+        b_primed = [{} for _ in range(k)]
+        for (a, i), v in t_mat.entries.items():
+            add_scaled(b_primed[i], self.m_element(a).entries, v)
+        b_primed_gl = [GlElement(self.pbw.n, b) for b in b_primed]
 
         phi = self.zero()
         for i in range(k):
@@ -259,9 +251,9 @@ class BrstContext:
             acc = self.multiply(acc, g)
         return acc
 
-    def supercommutator_with_phi(self, z: "BrstElement",
+    def supercommutator_with_phi(self, phi: "BrstElement", z: "BrstElement",
                                  parity: int) -> "BrstElement":
-        phi = self.build_phi()
+        """[phi, z] for even z, {phi, z} for odd z; phi from build_phi."""
         if parity % 2 == 0:
             return self.multiply(phi, z) - self.multiply(z, phi)
         return self.multiply(phi, z) + self.multiply(z, phi)
@@ -269,6 +261,7 @@ class BrstContext:
     def check_d_squared(self) -> dict:
         """d^2 = 0 on every generator, and d agrees with [phi, -] there."""
         report = {"generators": [], "all_zero": True, "phi_matches": True}
+        phi = self.build_phi()
         gens = ([("x", s) for s in range(len(self.pbw.symbols))]
                 + [("f", i) for i in range(self.k)]
                 + [("b", i) for i in range(self.k)])
@@ -276,7 +269,7 @@ class BrstContext:
             dz = self.d_generator(kind, idx)
             parity = 0 if kind == "x" else 1
             match = dz == self.supercommutator_with_phi(
-                self._gens_product([(kind, idx)]), parity)
+                phi, self._gens_product([(kind, idx)]), parity)
             dd = self.d(dz)
             ok = dd.is_zero()
             report["generators"].append(
@@ -301,25 +294,6 @@ class BrstContext:
         return self.pbw.q_reduce(u)
 
 
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    k = len(mat)
-    aug = [[mat[i][j] for j in range(k)]
-           + [Fraction(1 if j == i else 0) for j in range(k)]
-           for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("basis change is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
 class BrstElement:
     """Element of the BRST superalgebra, keyed by (f-word, monomial, b-word)."""
 
@@ -330,17 +304,11 @@ class BrstElement:
         self.terms = {k: v for k, v in terms.items() if v}
 
     def __add__(self, other: "BrstElement") -> "BrstElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = out.get(k, Fraction(0)) + v
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
-        return BrstElement(self.ctx, out)
+        return BrstElement(self.ctx, add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other: "BrstElement") -> "BrstElement":
-        return self + other.scale(-1)
+        return BrstElement(self.ctx,
+                           add_scaled(dict(self.terms), other.terms, -1))
 
     def scale(self, c) -> "BrstElement":
         c = Fraction(c)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, add_scaled
 
 
 class GlElement:
@@ -45,13 +45,12 @@ class GlElement:
 
     def __add__(self, other: "GlElement") -> "GlElement":
         self._check(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return GlElement(self.n, out)
+        return GlElement(self.n, add_scaled(dict(self.entries), other.entries))
 
     def __sub__(self, other: "GlElement") -> "GlElement":
-        return self + other.scale(-1)
+        self._check(other)
+        return GlElement(self.n,
+                         add_scaled(dict(self.entries), other.entries, -1))
 
     def scale(self, c) -> "GlElement":
         c = Fraction(c)
@@ -68,12 +67,6 @@ class GlElement:
                 key = (i, j)
                 out[key] = out.get(key, Fraction(0)) + a * b
         return GlElement(self.n, out)
-
-    def power(self, k: int) -> "GlElement":
-        acc = GlElement.identity(self.n)
-        for _ in range(k):
-            acc = acc.matmul(self)
-        return acc
 
     def trace(self) -> Fraction:
         return sum((v for (i, j), v in self.entries.items() if i == j), Fraction(0))
@@ -175,9 +168,3 @@ class Grading:
         if len(degs) > 1:
             return None
         return degs.pop() if degs else Fraction(0)
-
-    def homogeneous_parts(self, x: GlElement) -> dict[Fraction, GlElement]:
-        parts: dict[Fraction, dict] = {}
-        for (i, j), v in x.entries.items():
-            parts.setdefault(self.degree(i, j), {})[(i, j)] = v
-        return {d: GlElement(x.n, e) for d, e in sorted(parts.items())}

@@ -1,16 +1,30 @@
 """Exact rational sparse linear algebra.
 
 Everything here runs over Fraction; there is no floating point anywhere in
-the package.  The elimination core is fraction-free (integer-preserving,
-Bareiss-style) with partial pivoting by smallest-magnitude nonzero pivot,
-ties broken by (row, col) lexicographic order, so every derived basis is
-reproducible bit for bit.
+the package.  One elimination core serves rank, kernel_basis and solve: it
+is fraction-free (integer-preserving, Bareiss-style) with partial pivoting
+by smallest-magnitude nonzero pivot, ties broken by (row, col)
+lexicographic order, and kernel_basis and solve share its
+back-substitution, so every derived basis is reproducible bit for bit.
+Echelon keeps an incremental span for membership tests, and add_scaled is
+the one sparse accumulator of the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+
+def add_scaled(dst: dict, src: dict, c=1) -> dict:
+    """dst += c * src in place, dropping keys whose value becomes zero."""
+    for k, v in src.items():
+        v = dst.get(k, 0) + c * v
+        if v:
+            dst[k] = v
+        else:
+            dst.pop(k, None)
+    return dst
 
 
 class SparseMatrix:
@@ -34,9 +48,6 @@ class SparseMatrix:
     def get(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
 
-    def row(self, i: int) -> dict[int, Fraction]:
-        return {j: v for (r, j), v in self.entries.items() if r == i}
-
     def mul_vector(self, vec) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -44,10 +55,6 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             out[i] += v * vec[j]
         return out
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows,
-                            {(j, i): v for (i, j), v in self.entries.items()})
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
@@ -130,6 +137,26 @@ def rank(m: SparseMatrix) -> int:
     return len(_eliminate(rows, m.cols))
 
 
+def _kernel_vector(rows: list[dict[int, int]], pivots, ncols: int,
+                   free: int) -> list[Fraction]:
+    """Kernel vector with the given free variable 1 and the others 0.
+
+    Pivot variables are back-substituted from the rightmost pivot leftwards;
+    since pivot rows are in echelon form, the vector is supported on the
+    free column and pivot columns left of it.
+    """
+    vec = [Fraction(0)] * ncols
+    vec[free] = Fraction(1)
+    for ri, col in reversed(pivots):
+        r = rows[ri]
+        s = Fraction(0)
+        for j, v in r.items():
+            if j != col:
+                s += v * vec[j]
+        vec[col] = -s / r[col]
+    return vec
+
+
 def kernel_basis(m: SparseMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space; one vector per free column.
 
@@ -138,50 +165,29 @@ def kernel_basis(m: SparseMatrix) -> list[tuple[Fraction, ...]]:
     """
     rows = _integer_rows(m)
     pivots = _eliminate(rows, m.cols)
-    pivot_cols = {col: ri for ri, col in pivots}
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * m.cols
-        vec[fc] = Fraction(1)
-        # Solve pivot rows from the rightmost pivot leftwards.
-        for ri, col in reversed(pivots):
-            r = rows[ri]
-            s = Fraction(0)
-            for j, v in r.items():
-                if j != col:
-                    s += v * vec[j]
-            vec[col] = -s / r[col]
-        basis.append(tuple(vec))
-    return basis
+    pivot_cols = {col for _, col in pivots}
+    return [tuple(_kernel_vector(rows, pivots, m.cols, fc))
+            for fc in range(m.cols) if fc not in pivot_cols]
 
 
 def solve(m: SparseMatrix, rhs) -> tuple[Fraction, ...] | None:
-    """Some exact solution of m x = rhs, or None when inconsistent."""
+    """Some exact solution of m x = rhs, or None when inconsistent.
+
+    Eliminates [m | -rhs]; the system is inconsistent exactly when the last
+    column gets a pivot.  Otherwise the solution is that column's kernel
+    vector cut to m.cols entries, so free variables are 0.
+    """
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
     aug_entries = dict(m.entries)
     for i, v in enumerate(rhs):
-        v = Fraction(v)
-        if v:
-            aug_entries[(i, m.cols)] = v
+        aug_entries[(i, m.cols)] = -Fraction(v)
     aug = SparseMatrix(m.rows, m.cols + 1, aug_entries)
     rows = _integer_rows(aug)
-    pivots = _eliminate(rows, m.cols)
-    # A leftover nonzero entry in the rhs column means the system is inconsistent.
-    pivot_rows = {ri for ri, _ in pivots}
-    for i, r in enumerate(rows):
-        if i not in pivot_rows and any(j == m.cols and v for j, v in r.items()):
-            return None
-    vec = [Fraction(0)] * m.cols
-    for ri, col in reversed(pivots):
-        r = rows[ri]
-        s = Fraction(r.get(m.cols, 0))
-        for j, v in r.items():
-            if j != col and j != m.cols:
-                s -= v * vec[j]
-        vec[col] = s / r[col]
-    return tuple(vec)
+    pivots = _eliminate(rows, aug.cols)
+    if pivots and pivots[-1][1] == m.cols:
+        return None
+    return tuple(_kernel_vector(rows, pivots, aug.cols, m.cols)[:m.cols])
 
 
 class Echelon:
@@ -201,13 +207,7 @@ class Echelon:
             if lead not in self.pivots:
                 return vec
             base = self.pivots[lead]
-            c = vec[lead] / base[lead]
-            for k, v in base.items():
-                newv = vec.get(k, Fraction(0)) - c * v
-                if newv:
-                    vec[k] = newv
-                else:
-                    vec.pop(k, None)
+            add_scaled(vec, base, -vec[lead] / base[lead])
         return vec
 
     def insert(self, vec: dict) -> bool:
@@ -222,43 +222,6 @@ class Echelon:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-
-class IntSaturator:
-    """Echelon form over Z (gcd-normalized) for integer-keyed vectors.
-
-    Used by span-saturation loops where Fraction overhead matters; the span
-    is the same as over Q.
-    """
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
-
-    def insert(self, vec: dict[int, int]) -> bool:
-        vec = {k: v for k, v in vec.items() if v}
-        while vec:
-            lead = max(vec)
-            base = self.pivots.get(lead)
-            if base is None:
-                g = 0
-                for v in vec.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    vec = {k: v // g for k, v in vec.items()}
-                self.pivots[lead] = vec
-                return True
-            a, b = base[lead], vec[lead]
-            new = {}
-            for k in set(base) | set(vec):
-                val = a * vec.get(k, 0) - b * base.get(k, 0)
-                if val:
-                    new[k] = val
-            vec = new
-        return False
 
     @property
     def dim(self) -> int:

@@ -16,12 +16,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gl import GlElement, Grading, unit_index
-from .linalg import Echelon, SparseMatrix, kernel_basis, solve
-from .partitions import Partition, conjugate
+from .gl import GlElement, Grading
+from .linalg import SparseMatrix, add_scaled, kernel_basis, solve
+from .partitions import conjugate
 from .pyramids import (Pyramid, diagram_column, french_pyramid, grading_of,
-                       labeling, nilpotent_of)
-from .structure import Chi, build_m_n, low_degree_units, symplectic_pairs
+                       nilpotent_of)
+from .structure import Chi, low_degree_units, symplectic_pairs
 
 Word = tuple[int, ...]
 
@@ -62,7 +62,7 @@ class PbwContext:
                                         if sym.kind != "m")
         if self.m_indices and min(self.m_indices) <= max(
                 self.complement_indices, default=-1):
-            raise AssertionError("m-symbols must come last in the order")
+            raise ValueError("m-symbols must come last in the order")
         self._unit_expansion = self._compute_unit_expansions()
         self._bracket_cache: dict[tuple[int, int], tuple] = {}
         self._norm_cache: dict[Word, dict[Word, Fraction]] = {}
@@ -118,30 +118,35 @@ class PbwContext:
         n_basis = tuple(ps + qs[rank:] + low_degree_units(grading))
         return PbwContext(n, symbols, grading, pyramid, n_basis, chi, rank)
 
-    def _compute_unit_expansions(self):
-        """Coordinates of every matrix unit in the symbol basis."""
+    def _compute_unit_expansions(self) -> dict[tuple[int, int], dict]:
+        """Every matrix unit as degree-one PBW terms in the symbol basis.
+
+        A unit that is itself a symbol and lies in no other symbol's support
+        splits off as a 1x1 identity block of the symbol matrix.  Every other
+        unit is solved for on the block of the symbols that touch those
+        units; that block is all that needs elimination.
+        """
         n = self.n
-        if all(len(sym.gl.entries) == 1
-               and next(iter(sym.gl.entries.values())) == 1
-               for sym in self.symbols):
-            table = {}
-            for s, sym in enumerate(self.symbols):
-                (key,) = sym.gl.entries.keys()
-                table[key] = {s: Fraction(1)}
-            return table
-        mat = SparseMatrix(n * n, n * n,
-                           {(unit_index(n, i, j), s): v
-                            for s, sym in enumerate(self.symbols)
-                            for (i, j), v in sym.gl.entries.items()})
-        table = {}
-        for i in range(n):
-            for j in range(n):
-                rhs = [Fraction(0)] * (n * n)
-                rhs[unit_index(n, i, j)] = Fraction(1)
-                sol = solve(mat, rhs)
-                if sol is None:
-                    raise AssertionError("symbols do not span gl_N")
-                table[(i, j)] = {s: c for s, c in enumerate(sol) if c}
+        touching: dict[tuple[int, int], list[int]] = {}
+        for s, sym in enumerate(self.symbols):
+            for key in sym.gl.entries:
+                touching.setdefault(key, []).append(s)
+        table = {key: {(s,): Fraction(1)}
+                 for key, (s, *others) in touching.items()
+                 if not others and self.symbols[s].gl.entries == {key: 1}}
+        rest = [(i, j) for i in range(n) for j in range(n)
+                if (i, j) not in table]
+        block = sorted({s for key in rest for s in touching.get(key, ())})
+        row_of = {key: r for r, key in enumerate(rest)}
+        mat = SparseMatrix(len(rest), len(block),
+                           {(row_of[key], t): v
+                            for t, s in enumerate(block)
+                            for key, v in self.symbols[s].gl.entries.items()})
+        for key in rest:
+            sol = solve(mat, [int(r == key) for r in rest])
+            if sol is None:
+                raise ValueError("symbols do not form a basis of gl_N")
+            table[key] = {(block[t],): c for t, c in enumerate(sol) if c}
         return table
 
     # -- elements ----------------------------------------------------------
@@ -161,18 +166,14 @@ class PbwContext:
 
     def from_gl(self, x: GlElement) -> "PbwElement":
         terms: dict[Word, Fraction] = {}
-        for (i, j), v in x.entries.items():
-            for s, c in self._unit_expansion[(i, j)].items():
-                key = (s,)
-                terms[key] = terms.get(key, Fraction(0)) + v * c
-        return PbwElement(self, {k: v for k, v in terms.items() if v})
-
-    def gl_of_word_symbol(self, s: int) -> GlElement:
-        return self.symbols[s].gl
+        for key, v in x.entries.items():
+            add_scaled(terms, self._unit_expansion[key], v)
+        return PbwElement(self, terms)
 
     # -- straightening -----------------------------------------------------
 
     def _bracket_expansion(self, a: int, b: int):
+        """[x_a, x_b] as sorted pairs (one-letter word, coefficient)."""
         key = (a, b)
         cached = self._bracket_cache.get(key)
         if cached is not None:
@@ -180,11 +181,7 @@ class PbwContext:
         xa = self.symbols[a].gl
         xb = self.symbols[b].gl
         br = xa.matmul(xb) - xb.matmul(xa)
-        out: dict[int, Fraction] = {}
-        for (i, j), v in br.entries.items():
-            for s, c in self._unit_expansion[(i, j)].items():
-                out[s] = out.get(s, Fraction(0)) + v * c
-        result = tuple((s, c) for s, c in sorted(out.items()) if c)
+        result = tuple(sorted(self.from_gl(br).terms.items()))
         self._bracket_cache[key] = result
         return result
 
@@ -203,14 +200,9 @@ class PbwContext:
             a, b = word[pos], word[pos + 1]
             swapped = word[:pos] + (b, a) + word[pos + 2:]
             result = dict(self._normalize_word(swapped))
-            for s, c in self._bracket_expansion(a, b):
-                shorter = word[:pos] + (s,) + word[pos + 2:]
-                for w, v in self._normalize_word(shorter).items():
-                    acc = result.get(w, Fraction(0)) + c * v
-                    if acc:
-                        result[w] = acc
-                    else:
-                        result.pop(w, None)
+            for letter, c in self._bracket_expansion(a, b):
+                shorter = word[:pos] + letter + word[pos + 2:]
+                add_scaled(result, self._normalize_word(shorter), c)
         self._norm_cache[word] = result
         return result
 
@@ -220,13 +212,7 @@ class PbwContext:
         terms: dict[Word, Fraction] = {}
         for wu, cu in u.terms.items():
             for wv, cv in v.terms.items():
-                c = cu * cv
-                for w, k in self._normalize_word(wu + wv).items():
-                    acc = terms.get(w, Fraction(0)) + c * k
-                    if acc:
-                        terms[w] = acc
-                    else:
-                        terms.pop(w, None)
+                add_scaled(terms, self._normalize_word(wu + wv), cu * cv)
         return PbwElement(self, terms)
 
     # -- structure maps ----------------------------------------------------
@@ -307,8 +293,12 @@ class PbwContext:
         """Graded basis of the invariants in the quotient, up to max_degree.
 
         Solves the full invariance system on the finite-dimensional
-        truncation and echelonizes the kernel by leading (degree, word) key,
-        so the degree-d slice extends the degree < d ones.
+        truncation.  Its columns are the complement words in (Kazhdan degree,
+        word) order, so the kernel vector of a free column t is supported on
+        t and pivot columns left of t: its last word is words[t], with
+        coefficient 1, and its Kazhdan degree is that of words[t].  The
+        vectors come in the order of their last words, so the degree-d slice
+        extends the degree < d ones.
         """
         if over is None:
             over = list(self.n_basis)
@@ -325,15 +315,10 @@ class PbwContext:
                     r = row_of.setdefault(key, len(row_of))
                     entries[(r, t)] = v
         mat = SparseMatrix(len(row_of), len(words), entries)
-        kernel = kernel_basis(mat)
-        ech = Echelon()
-        for vec in kernel:
-            ech.insert({self._word_key(words[t]): c
-                        for t, c in enumerate(vec) if c})
         graded: dict[int, list[PbwElement]] = {}
-        for (deg, _), vec in sorted(ech.pivots.items()):
-            elt = PbwElement(self, {w: c for (_, w), c in vec.items()})
-            graded.setdefault(deg, []).append(elt)
+        for vec in kernel_basis(mat):
+            elt = PbwElement(self, {w: c for w, c in zip(words, vec) if c})
+            graded.setdefault(self.kazhdan_degree(elt), []).append(elt)
         return graded
 
     # -- row determinant generators for one Jordan block --------------------
@@ -457,21 +442,15 @@ class PbwElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for w, v in other.terms.items():
-            acc = out.get(w, Fraction(0)) + v
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-        return PbwElement(self.ctx, out)
+        return PbwElement(self.ctx, add_scaled(dict(self.terms), other.terms))
 
     def __radd__(self, other):
         return self + other
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return self + other.scale(-1)
+        return PbwElement(self.ctx,
+                          add_scaled(dict(self.terms), other.terms, -1))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -505,12 +484,6 @@ class PbwElement:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def pbw_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def support_kinds(self) -> set[str]:
-        return {self.ctx.symbols[s].kind for w in self.terms for s in w}
 
     def __repr__(self):
         if not self.terms:

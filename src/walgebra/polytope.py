@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gl import GlElement, Grading, bracket, trace_form
+from .gl import GlElement, Grading
 from .linalg import Echelon
 from .partitions import Partition, jordan_matrix
-from .pyramids import Pyramid, enumerate_pyramids
-from .structure import m_from_isotropic, unit_coords
+from .pyramids import Pyramid
+from .structure import m_from_isotropic, symplectic_basis, unit_coords
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,6 @@ class RestrictedWeight:
 
     def value(self, p) -> Fraction:
         return Fraction(p[self.target]) - Fraction(p[self.source])
-
-
-def _row_offsets(lam: Partition) -> list[int]:
-    offs = [0]
-    for part in lam.parts:
-        offs.append(offs[-1] + part)
-    return offs
 
 
 def _h_value(lam: Partition, r: int, k: int) -> int:
@@ -212,7 +205,8 @@ def common_m_for_adjacent(lam: Partition, p, q):
 
     Takes a Lagrangian of the intersection of the two degree -1 spaces and
     pads it with the units falling below -1 on the other side; returns the
-    two m bases and whether their spans agree.
+    two m bases and whether their spans agree.  Raises ValueError when the
+    form on the intersection is degenerate.
     """
     if not adjacent(lam, p, q):
         raise ValueError("points are not adjacent")
@@ -227,31 +221,8 @@ def common_m_for_adjacent(lam: Partition, p, q):
     q_only = [(i, j) for i in range(n) for j in range(n)
               if gq.degree(i, j) == -1 and gp.degree(i, j) < -1]
 
-    # Greedy Lagrangian of the (nondegenerate) form on the intersection.
-    vecs = [GlElement.unit(n, i, j) for (i, j) in both]
-    lagr: list[GlElement] = []
-    while vecs:
-        u = vecs.pop(0)
-        if u.is_zero():
-            continue
-        partner = None
-        for t, v in enumerate(vecs):
-            c = trace_form(bracket(u, v), e)
-            if c:
-                partner = (t, c)
-                break
-        if partner is None:
-            raise AssertionError("degenerate form on the intersection")
-        t, c = partner
-        v = vecs.pop(t).scale(Fraction(1) / c)
-        reduced = []
-        for w in vecs:
-            cu = trace_form(bracket(w, v), e)
-            cv = trace_form(bracket(w, u), e)
-            reduced.append(w - u.scale(cu) + v.scale(cv))
-        vecs = reduced
-        lagr.append(u)
-
+    # The p half of a symplectic basis of the intersection is a Lagrangian.
+    lagr, _ = symplectic_basis(both, e)
     l_p = lagr + [GlElement.unit(n, i, j) for (i, j) in p_only]
     l_q = lagr + [GlElement.unit(n, i, j) for (i, j) in q_only]
     m_p = m_from_isotropic(gp, e, l_p)
@@ -266,10 +237,3 @@ def common_m_for_adjacent(lam: Partition, p, q):
              and all(span_p.contains(unit_coords(x)) for x in m_q.basis)
              and all(span_q.contains(unit_coords(x)) for x in m_p.basis))
     return m_p, m_q, equal
-
-
-def pyramid_point_pairs(lam: Partition):
-    """Pyramids and integral polytope points, matched up for testing."""
-    pys = {point_of_pyramid(py): py for py in enumerate_pyramids(lam)}
-    pts = {_normalize(p): p for p in integral_good_points(lam)}
-    return pys, pts

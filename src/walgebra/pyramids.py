@@ -90,12 +90,6 @@ class Labeling:
             return self.label_of(r, k + 1)
         return None
 
-    def left_neighbor(self, label: int) -> int | None:
-        r, k = self.box_of[label]
-        if k > 0:
-            return self.label_of(r, k - 1)
-        return None
-
 
 def labeling(p: Pyramid) -> Labeling:
     """Canonical labeling: columns ascending, top box of a column first."""

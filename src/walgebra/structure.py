@@ -8,11 +8,11 @@ of the associated graded of the W-algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from .gl import GlElement, Grading, ad_matrix, bracket, trace_form, unit_index
-from .linalg import Echelon, SparseMatrix, kernel_basis, rank
+from .linalg import Echelon, SparseMatrix, add_scaled, kernel_basis, rank
 from .pyramids import Pyramid, grading_of, nilpotent_of, rows_by_labels
 
 
@@ -34,7 +34,6 @@ class Sl2Triple:
 @dataclass(frozen=True)
 class Subalgebra:
     basis: tuple[GlElement, ...]
-    tag: str
 
     @property
     def dim(self) -> int:
@@ -64,23 +63,12 @@ class GoodGradingReport:
 
     @property
     def all_pass(self) -> bool:
-        return (self.e_in_degree_2 and self.injective_below
-                and self.surjective_above and self.centralizer_nonnegative
-                and self.pairing_orthogonal and self.dim_identity
-                and self.center_in_degree_0)
+        """Every field except the failure list is a flag."""
+        return all(getattr(self, f.name) for f in fields(self)
+                   if f.name != "failures")
 
     def to_json(self) -> dict:
-        return {
-            "e_in_degree_2": self.e_in_degree_2,
-            "injective_below": self.injective_below,
-            "surjective_above": self.surjective_above,
-            "centralizer_nonnegative": self.centralizer_nonnegative,
-            "pairing_orthogonal": self.pairing_orthogonal,
-            "dim_identity": self.dim_identity,
-            "center_in_degree_0": self.center_in_degree_0,
-            "all_pass": self.all_pass,
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
 
 def _ad_e_images(grading: Grading, e: GlElement, d: Fraction) -> list[GlElement]:
@@ -224,13 +212,8 @@ def centralizer_basis(p: Pyramid) -> list[GlElement]:
     return basis
 
 
-def degree_minus1_units(grading: Grading) -> list[tuple[int, int]]:
-    return grading.units_of_degree(-1)
-
-
-def symplectic_form(grading: Grading, e: GlElement) -> SparseMatrix:
-    """Gram matrix of <x,y> = tr([x,y] e) on the degree -1 matrix units."""
-    units = degree_minus1_units(grading)
+def _gram(units: list[tuple[int, int]], e: GlElement) -> SparseMatrix:
+    """Gram matrix of <x,y> = tr([x,y] e) on the given matrix units."""
     entries = {}
     for a, (i, j) in enumerate(units):
         for b, (k, l) in enumerate(units):
@@ -241,16 +224,21 @@ def symplectic_form(grading: Grading, e: GlElement) -> SparseMatrix:
     return SparseMatrix(len(units), len(units), entries)
 
 
-def symplectic_pairs(grading: Grading, e: GlElement):
-    """Deterministic symplectic basis (p_a, q_a) of the degree -1 space.
+def symplectic_form(grading: Grading, e: GlElement) -> SparseMatrix:
+    """Gram matrix of <x,y> = tr([x,y] e) on the degree -1 matrix units."""
+    return _gram(grading.units_of_degree(-1), e)
 
-    Greedy over the ordered matrix-unit basis: take the first remaining
+
+def symplectic_basis(units: list[tuple[int, int]], e: GlElement):
+    """Deterministic symplectic basis (p_a, q_a) of the span of the units.
+
+    Greedy over the given order of matrix units: take the first remaining
     vector, find its first pairing partner, scale the partner so the
     pairing is 1, then project the pairing away from the rest.
-    Returns two lists of GlElements with <p_a, q_b> = delta_ab.
+    Returns two lists of GlElements with <p_a, q_b> = delta_ab, and raises
+    ValueError when <x,y> = tr([x,y] e) is degenerate on the span.
     """
-    units = degree_minus1_units(grading)
-    gram = symplectic_form(grading, e)
+    gram = _gram(units, e)
 
     def pair(u: dict, v: dict) -> Fraction:
         s = Fraction(0)
@@ -271,7 +259,7 @@ def symplectic_pairs(grading: Grading, e: GlElement):
                 partner = t
                 break
         if partner is None:
-            raise ValueError("degenerate pairing on the degree -1 space")
+            raise ValueError("degenerate pairing on the given units")
         v = remaining.pop(partner)
         c = pair(u, v)
         v = {a: x / c for a, x in v.items()}
@@ -280,12 +268,7 @@ def symplectic_pairs(grading: Grading, e: GlElement):
             if w:
                 cu = pair(w, v)
                 cv = pair(w, u)
-                new = dict(w)
-                for a, x in u.items():
-                    new[a] = new.get(a, Fraction(0)) - cu * x
-                for a, x in v.items():
-                    new[a] = new.get(a, Fraction(0)) + cv * x
-                w = {a: x for a, x in new.items() if x}
+                w = add_scaled(add_scaled(dict(w), u, -cu), v, cv)
             reduced.append(w)
         remaining = reduced
         ps.append(u)
@@ -298,6 +281,12 @@ def symplectic_pairs(grading: Grading, e: GlElement):
         return GlElement(e.n, entries)
 
     return [to_gl(u) for u in ps], [to_gl(v) for v in qs]
+
+
+def symplectic_pairs(grading: Grading, e: GlElement):
+    """Symplectic basis (p_a, q_a) of the degree -1 space, in the order of
+    the degree -1 matrix units."""
+    return symplectic_basis(grading.units_of_degree(-1), e)
 
 
 def low_degree_units(grading: Grading) -> list[GlElement]:
@@ -325,8 +314,8 @@ def build_m_n(grading: Grading, e: GlElement,
     low = low_degree_units(grading)
     l_vecs = ps[:isotropic_rank]
     lperp = ps + qs[isotropic_rank:]
-    m = Subalgebra(tuple(l_vecs + low), "m")
-    n_sub = Subalgebra(tuple(lperp + low), "n")
+    m = Subalgebra(tuple(l_vecs + low))
+    n_sub = Subalgebra(tuple(lperp + low))
     return m, n_sub, Chi(e)
 
 
@@ -337,7 +326,7 @@ def m_from_isotropic(grading: Grading, e: GlElement,
         for y in l_vectors:
             if trace_form(bracket(x, y), e):
                 raise ValueError("given subspace is not isotropic")
-    return Subalgebra(tuple(list(l_vectors) + low_degree_units(grading)), "m")
+    return Subalgebra(tuple(list(l_vectors) + low_degree_units(grading)))
 
 
 def orbit_dim(e: GlElement) -> int:
@@ -373,9 +362,3 @@ def slodowy_degrees(p: Pyramid) -> list[int]:
     if total != p.n * p.n - rank(ad_matrix(triple.e)):
         raise AssertionError("graded centralizer of f has the wrong size")
     return sorted(out)
-
-
-def dim_unit_kernel(e: GlElement) -> int:
-    """dim of the centralizer of e computed from the adjoint matrix."""
-    return e.n * e.n - rank(ad_matrix(e))
-

@@ -113,3 +113,47 @@ def test_kernel_vectors_are_annihilated(rows):
     m = dense(rows)
     for v in kernel_basis(m):
         assert all(x == 0 for x in m.mul_vector(list(v)))
+
+
+rationals = st.one_of(st.just(Fraction(0)),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def rational_systems(draw):
+    """A small rational matrix with a right-hand side that is consistent
+    about half of the time."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [[draw(rationals) for _ in range(c)] for _ in range(r)]
+    if draw(st.booleans()):
+        x = [draw(rationals) for _ in range(c)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = [draw(rationals) for _ in range(r)]
+    return rows, rhs
+
+
+def to_fractions(vec):
+    return tuple(Fraction(int(v.p), int(v.q)) for v in vec)
+
+
+def sympy_matrix(rows):
+    import sympy  # imported here: its import slows the tests collected first
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                          for v in row] for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_systems())
+def test_linalg_matches_sympy_oracle(system):
+    rows, rhs = system
+    m, sm = dense(rows), sympy_matrix(rows)
+    assert rank(m) == sm.rank()
+    assert kernel_basis(m) == [to_fractions(v) for v in sm.nullspace()]
+    try:
+        sol, params = sm.gauss_jordan_solve(sympy_matrix([[v] for v in rhs]))
+    except ValueError:
+        expected = None
+    else:
+        expected = to_fractions(sol.subs({p: 0 for p in params}))
+    assert solve(m, rhs) == expected

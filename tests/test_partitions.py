@@ -39,6 +39,7 @@ def test_centralizer_dim_matches_adjoint_kernel(lam):
     e = jordan_matrix(lam)
     n = lam.n
     assert centralizer_dim(lam) == n * n - rank(ad_matrix(e))
+    assert centralizer_dim(lam) == sum(c * c for c in conjugate(lam).parts)
 
 
 def test_jordan_matrix_examples():

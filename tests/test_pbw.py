@@ -8,7 +8,7 @@ from walgebra.gl import GlElement, bracket
 from walgebra.partitions import Partition
 from walgebra.pbw import PbwContext, PbwElement
 from walgebra.pyramids import (Pyramid, dynkin_pyramid, enumerate_pyramids,
-                               french_pyramid)
+                               french_pyramid, grading_of)
 from walgebra.structure import slodowy_degrees
 
 
@@ -243,15 +243,26 @@ def test_w_space_gl3_regular_matches_slodowy_counts():
 
 
 def test_w_space_21_all_pyramids_and_ranks():
-    lam = Partition((2, 1))
-    for pyr in enumerate_pyramids(lam):
-        counts = brute_monomial_counts(slodowy_degrees(pyr), 5)
-        expected = {d: c for d, c in counts.items() if c}
-        smax = len(PbwContext.from_pyramid(pyr).n_basis)  # just to touch it
-        for rank in {0, None}:
-            ctx = PbwContext.from_pyramid(pyr, isotropic_rank=rank)
-            dims = {d: len(v) for d, v in ctx.w_space_basis(5).items()}
-            assert dims == expected, (pyr.left, rank, dims, expected)
+    for lam in [Partition((2, 1)), Partition((3, 1)), Partition((2, 2))]:
+        for pyr in enumerate_pyramids(lam):
+            counts = brute_monomial_counts(slodowy_degrees(pyr), 5)
+            expected = {d: c for d, c in counts.items() if c}
+            s = len(grading_of(pyr).units_of_degree(-1)) // 2
+            for rank in range(s + 1):
+                ctx = PbwContext.from_pyramid(pyr, isotropic_rank=rank)
+                basis = ctx.w_space_basis(5)
+                dims = {d: len(v) for d, v in basis.items()}
+                assert dims == expected, (lam, pyr.left, rank, dims, expected)
+                # Each element ends, in (Kazhdan degree, word) order, on its
+                # own word of degree d with coefficient 1.
+                lasts = []
+                for d, ws in basis.items():
+                    for w in ws:
+                        last = max(w.terms, key=ctx._word_key)
+                        assert w.terms[last] == 1
+                        assert ctx._word_key(last)[0] == d
+                        lasts.append(last)
+                assert len(set(lasts)) == len(lasts)
 
 
 def test_w_space_elements_are_invariant_and_product_closed():
@@ -284,3 +295,19 @@ def test_json_serialization_deterministic():
     js = w2.to_json()
     assert js == w2.to_json()
     assert {"monomial": [[1, 2, 1]], "coeff": "-1/1"} in js
+
+
+def test_context_rejects_repeated_symbol():
+    std = PbwContext.standard(2)
+    symbols = list(std.symbols)
+    symbols[1] = symbols[0]  # E11 twice, E12 missing
+    with pytest.raises(ValueError, match="basis"):
+        PbwContext(2, symbols, std.grading)
+
+
+def test_context_rejects_m_symbols_before_complement():
+    ctx = PbwContext.from_pyramid(dynkin_pyramid(Partition((2,))))
+    symbols = list(ctx.symbols)
+    symbols.insert(0, symbols.pop(ctx.m_indices[0]))
+    with pytest.raises(ValueError, match="m-symbols must come last"):
+        PbwContext(2, symbols, ctx.grading, chi=ctx.chi)

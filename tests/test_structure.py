@@ -11,8 +11,9 @@ from walgebra.pyramids import (Pyramid, dynkin_pyramid, enumerate_pyramids,
                                nilpotent_of)
 from walgebra.structure import (build_m_n, centralizer_basis, check_good,
                                 m_from_isotropic, orbit_dim, sl2_complete,
-                                slodowy_degrees, symplectic_form,
-                                symplectic_pairs, unit_coords)
+                                slodowy_degrees, symplectic_basis,
+                                symplectic_form, symplectic_pairs,
+                                unit_coords)
 
 
 def eu(n, i, j):
@@ -178,6 +179,11 @@ def test_symplectic_pairs_normalized():
                 assert trace_form(bracket(x, y), e) == expect
             for y in ps:
                 assert trace_form(bracket(x, y), e) == 0
+
+
+def test_symplectic_basis_rejects_degenerate_form():
+    with pytest.raises(ValueError, match="degenerate"):
+        symplectic_basis([(1, 0), (2, 1)], GlElement.zero(3))
 
 
 def test_build_m_n_gl2_regular():
