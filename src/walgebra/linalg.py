@@ -1,19 +1,19 @@
 """Exact rational sparse linear algebra.
 
 Everything here runs over Fraction; there is no floating point anywhere in
-the package.  One elimination core serves rank, kernel_basis and solve: it
-is fraction-free (integer-preserving, Bareiss-style) with partial pivoting
-by smallest-magnitude nonzero pivot, ties broken by (row, col)
-lexicographic order, and kernel_basis and solve share its
-back-substitution, so every derived basis is reproducible bit for bit.
-Echelon keeps an incremental span for membership tests, and add_scaled is
-the one sparse accumulator of the package.
+the package.  Echelon is the one elimination engine: it keeps a span as
+primitive integer rows in reduced echelon form, the pivot of a row being
+its smallest key.  rank, kernel_basis and solve insert the rows of a matrix
+into an Echelon, sparsest first, and read their results off the reduced
+rows.  The reduced echelon form of a span is unique, so every derived basis
+is reproducible bit for bit.  add_scaled is the one sparse accumulator of
+the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def add_scaled(dst: dict, src: dict, c=1) -> dict:
@@ -64,116 +64,103 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
-def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """Rows rescaled to integers (does not change row space or kernel)."""
-    rows = [dict() for _ in range(m.rows)]
+def _primitive(row: dict) -> dict:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _clear(row: dict, base: dict, key) -> dict:
+    """The primitive integer combination of row and base with no entry at key."""
+    g = gcd(base[key], row[key])
+    out = {k: base[key] // g * v for k, v in row.items()}
+    return _primitive(add_scaled(out, base, -(row[key] // g)))
+
+
+class Echelon:
+    """Reduced echelon form of the span of sparse vectors with sortable keys.
+
+    Vectors are dicts key -> rational.  The span is kept as primitive
+    integer rows; the pivot of a row is its smallest key, and no row has an
+    entry at another row's pivot.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def reduce(self, vec: dict) -> dict:
+        """vec as a primitive integer row with no entry at any pivot."""
+        vec = {k: Fraction(v) for k, v in vec.items() if v}
+        mult = lcm(*(v.denominator for v in vec.values()))
+        row = _primitive({k: v.numerator * (mult // v.denominator)
+                          for k, v in vec.items()})
+        # Stored rows have no entry at other pivots, so clearing one pivot
+        # brings in no new one.
+        for key in [k for k in row if k in self.rows]:
+            row = _clear(row, self.rows[key], key)
+        return row
+
+    def insert(self, vec: dict) -> bool:
+        """Reduce and insert; returns True when the vector was new."""
+        row = self.reduce(vec)
+        if not row:
+            return False
+        lead = min(row)
+        for key, base in self.rows.items():
+            if lead in base:
+                self.rows[key] = _clear(base, row, lead)
+        self.rows[lead] = row
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def _row_echelon(m: SparseMatrix) -> Echelon:
+    """Echelon of the rows of m, inserted sparsest first to keep fill-in low."""
+    rows = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
-    out = []
-    for r in rows:
-        if not r:
-            out.append({})
-            continue
-        mult = 1
-        for v in r.values():
-            mult = mult * v.denominator // gcd(mult, v.denominator)
-        row = {j: int(v * mult) for j, v in r.items()}
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-        if g > 1:
-            row = {j: v // g for j, v in row.items()}
-        out.append(row)
-    return out
+    span = Echelon()
+    for row in sorted(rows, key=len):
+        span.insert(row)
+    return span
 
 
-def _eliminate(rows: list[dict[int, int]], ncols: int):
-    """Fraction-free row echelon reduction in place.
-
-    Returns the pivots as (row_index, col) pairs in elimination order.
-    Rows hold integers throughout: elimination steps cross-multiply and the
-    updated row is stripped by its gcd, which keeps rows without a pivot
-    entry untouched (good for sparsity) while bounding growth in practice.
-    """
-    pivots: list[tuple[int, int]] = []
-    used = [False] * len(rows)
-    for col in range(ncols):
-        best = None
-        for i, r in enumerate(rows):
-            if used[i]:
-                continue
-            v = r.get(col)
-            if v:
-                key = (abs(v), i)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            continue
-        pi = best[1]
-        used[pi] = True
-        prow = rows[pi]
-        pval = prow[col]
-        for i, r in enumerate(rows):
-            if used[i] or col not in r:
-                continue
-            f = r[col]
-            new = {}
-            g = 0
-            for j in set(prow) | set(r):
-                val = pval * r.get(j, 0) - f * prow.get(j, 0)
-                if val:
-                    new[j] = val
-                    g = gcd(g, val)
-            if g > 1:
-                new = {j: v // g for j, v in new.items()}
-            rows[i] = new
-        pivots.append((pi, col))
-    return pivots
+def _kernel_vector(span: Echelon, ncols: int, free: int) -> list[Fraction]:
+    """Kernel vector with the given free variable 1 and the others 0."""
+    vec = [Fraction(0)] * ncols
+    vec[free] = Fraction(1)
+    for col, row in span.rows.items():
+        if free in row:
+            vec[col] = Fraction(-row[free], row[col])
+    return vec
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank over the rationals by fraction-free elimination."""
-    rows = _integer_rows(m)
-    return len(_eliminate(rows, m.cols))
-
-
-def _kernel_vector(rows: list[dict[int, int]], pivots, ncols: int,
-                   free: int) -> list[Fraction]:
-    """Kernel vector with the given free variable 1 and the others 0.
-
-    Pivot variables are back-substituted from the rightmost pivot leftwards;
-    since pivot rows are in echelon form, the vector is supported on the
-    free column and pivot columns left of it.
-    """
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for ri, col in reversed(pivots):
-        r = rows[ri]
-        s = Fraction(0)
-        for j, v in r.items():
-            if j != col:
-                s += v * vec[j]
-        vec[col] = -s / r[col]
-    return vec
+    """Rank over the rationals."""
+    return _row_echelon(m).dim
 
 
 def kernel_basis(m: SparseMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space; one vector per free column.
 
-    The free variable of each vector is set to 1 and pivot variables are
-    back-substituted, so the basis is deterministic.
+    The vector of a free column has that variable 1 and the other free
+    variables 0, so the basis is deterministic.
     """
-    rows = _integer_rows(m)
-    pivots = _eliminate(rows, m.cols)
-    pivot_cols = {col for _, col in pivots}
-    return [tuple(_kernel_vector(rows, pivots, m.cols, fc))
-            for fc in range(m.cols) if fc not in pivot_cols]
+    span = _row_echelon(m)
+    return [tuple(_kernel_vector(span, m.cols, f))
+            for f in range(m.cols) if f not in span.rows]
 
 
 def solve(m: SparseMatrix, rhs) -> tuple[Fraction, ...] | None:
     """Some exact solution of m x = rhs, or None when inconsistent.
 
-    Eliminates [m | -rhs]; the system is inconsistent exactly when the last
+    Reduces [m | -rhs]; the system is inconsistent exactly when the last
     column gets a pivot.  Otherwise the solution is that column's kernel
     vector cut to m.cols entries, so free variables are 0.
     """
@@ -182,47 +169,7 @@ def solve(m: SparseMatrix, rhs) -> tuple[Fraction, ...] | None:
     aug_entries = dict(m.entries)
     for i, v in enumerate(rhs):
         aug_entries[(i, m.cols)] = -Fraction(v)
-    aug = SparseMatrix(m.rows, m.cols + 1, aug_entries)
-    rows = _integer_rows(aug)
-    pivots = _eliminate(rows, aug.cols)
-    if pivots and pivots[-1][1] == m.cols:
+    span = _row_echelon(SparseMatrix(m.rows, m.cols + 1, aug_entries))
+    if m.cols in span.rows:
         return None
-    return tuple(_kernel_vector(rows, pivots, aug.cols, m.cols)[:m.cols])
-
-
-class Echelon:
-    """Incremental echelon form for spans of sparse vectors with sortable keys.
-
-    Vectors are dicts key -> Fraction.  The pivot of a vector is its largest
-    key, so nested filtrations can be read off pivot keys directly.
-    """
-
-    def __init__(self):
-        self.pivots: dict = {}
-
-    def reduce(self, vec: dict) -> dict:
-        vec = {k: Fraction(v) for k, v in vec.items() if v}
-        while vec:
-            lead = max(vec)
-            if lead not in self.pivots:
-                return vec
-            base = self.pivots[lead]
-            add_scaled(vec, base, -vec[lead] / base[lead])
-        return vec
-
-    def insert(self, vec: dict) -> bool:
-        """Reduce and insert; returns True when the vector was new."""
-        red = self.reduce(vec)
-        if not red:
-            return False
-        lead = max(red)
-        c = red[lead]
-        self.pivots[lead] = {k: v / c for k, v in red.items()}
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
+    return tuple(_kernel_vector(span, m.cols + 1, m.cols)[:m.cols])

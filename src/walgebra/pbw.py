@@ -165,6 +165,8 @@ class PbwContext:
         return PbwElement(self, {(s,): Fraction(1)})
 
     def from_gl(self, x: GlElement) -> "PbwElement":
+        if x.n != self.n:
+            raise ValueError(f"element of gl_{x.n} in a gl_{self.n} context")
         terms: dict[Word, Fraction] = {}
         for key, v in x.entries.items():
             add_scaled(terms, self._unit_expansion[key], v)

@@ -119,8 +119,7 @@ def check_good(grading: Grading, e: GlElement) -> GoodGradingReport:
                 surj = False
                 failures.append(f"ad e not surjective onto degree {d}")
 
-    ade = ad_matrix(e)
-    ker = kernel_basis(ade)
+    ker = kernel_basis(ad_matrix(e))
     cent_nonneg = True
     for vec in ker:
         degs = {grading.degree(idx // n, idx % n)
@@ -140,7 +139,7 @@ def check_good(grading: Grading, e: GlElement) -> GoodGradingReport:
 
     # dim g_e equals the dimension of the degrees in (-1, 1]; integral case:
     # dim g_0 + dim g_1.
-    dim_ge = n * n - rank(ade)
+    dim_ge = len(ker)
     dim_mid = sum(len(grading.units_of_degree(d))
                   for d in grading.occupied_degrees() if -1 < d <= 1)
     dim_ok = dim_ge == dim_mid

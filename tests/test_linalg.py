@@ -93,14 +93,16 @@ def test_solve_multiply_back_random():
         assert m.mul_vector(list(sol)) == rhs
 
 
-small_matrices = st.lists(
-    st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-    min_size=1, max_size=5,
-).filter(lambda rows: len({len(r) for r in rows}) == 1)
+@st.composite
+def small_matrices(draw):
+    """An integer matrix of 1-5 rows and 1-5 columns, shape drawn first."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(-5, 5), min_size=c, max_size=c)
+    return draw(st.lists(row, min_size=r, max_size=r))
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices)
+@given(small_matrices())
 def test_rank_plus_kernel_is_cols(rows):
     m = dense(rows)
     assert rank(m) + len(kernel_basis(m)) == m.cols
@@ -108,7 +110,7 @@ def test_rank_plus_kernel_is_cols(rows):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_matrices)
+@given(small_matrices())
 def test_kernel_vectors_are_annihilated(rows):
     m = dense(rows)
     for v in kernel_basis(m):
@@ -157,3 +159,31 @@ def test_linalg_matches_sympy_oracle(system):
     else:
         expected = to_fractions(sol.subs({p: 0 for p in params}))
     assert solve(m, rhs) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_systems())
+def test_echelon_matches_sympy_rank(system):
+    rows, _ = system
+    span = Echelon()
+    for t, row in enumerate(rows):
+        vec = {j: v for j, v in enumerate(row) if v}
+        rk = sympy_matrix(rows[:t + 1]).rank()
+        grows = rk > span.dim
+        assert span.contains(vec) is not grows
+        assert span.insert(vec) is grows
+        assert span.contains(vec)
+        assert span.dim == rk
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_systems(), st.randoms(use_true_random=False))
+def test_results_do_not_depend_on_row_order(system, rnd):
+    rows, rhs = system
+    order = list(range(len(rows)))
+    rnd.shuffle(order)
+    m = dense(rows)
+    p = dense([rows[i] for i in order])
+    assert rank(p) == rank(m)
+    assert kernel_basis(p) == kernel_basis(m)
+    assert solve(p, [rhs[i] for i in order]) == solve(m, rhs)

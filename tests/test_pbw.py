@@ -311,3 +311,10 @@ def test_context_rejects_m_symbols_before_complement():
     symbols.insert(0, symbols.pop(ctx.m_indices[0]))
     with pytest.raises(ValueError, match="m-symbols must come last"):
         PbwContext(2, symbols, ctx.grading, chi=ctx.chi)
+
+
+def test_from_gl_rejects_wrong_size():
+    ctx = PbwContext.standard(2)
+    for x in (GlElement.unit(1, 0, 0), GlElement.unit(3, 2, 2)):
+        with pytest.raises(ValueError, match="gl_2 context"):
+            ctx.from_gl(x)
