@@ -34,6 +34,7 @@ class BrstContext:
         self.k = len(self.m_symbols)
         self._m_pos = {s: t for t, s in enumerate(self.m_symbols)}
         self._odd_cache: dict[OddWord, dict[tuple, Fraction]] = {}
+        self._bracket_coords: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     # -- elements -----------------------------------------------------------
 
@@ -129,10 +130,13 @@ class BrstContext:
     # -- the odd charge and the differential ----------------------------------
 
     def _m_bracket_coords(self, i: int, j: int) -> dict[int, Fraction]:
-        br = bracket(self.m_element(i), self.m_element(j))
-        if br.is_zero():
-            return {}
-        return self._m_coordinates(br)
+        """Coordinates of [b_i, b_j] in the basis of m; memoized, read only."""
+        coords = self._bracket_coords.get((i, j))
+        if coords is None:
+            br = bracket(self.m_element(i), self.m_element(j))
+            coords = {} if br.is_zero() else self._m_coordinates(br)
+            self._bracket_coords[(i, j)] = coords
+        return coords
 
     def build_phi(self, basis_change=None) -> "BrstElement":
         """The odd element whose supercommutator is the differential.

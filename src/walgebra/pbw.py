@@ -8,11 +8,17 @@ swallowed by the isotropic choice, and the m-symbols last.  Monomials are
 written in ascending symbol order, so normal monomials carry their
 m-symbols as a tail and reduction modulo the character ideal is a direct
 substitution on that tail.
+
+Products are computed on normal monomials only, never on unsorted words:
+the one primitive is the left multiplication of a normal monomial by one
+generator, x_a b rest = b (x_a rest) + [x_a, b] rest, memoized per context,
+and a product of two normal monomials moves the letters of the left one in
+from the right (the collection normal form of Kandri-Rody and Weispfenning).
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +30,23 @@ from .pyramids import (Pyramid, diagram_column, french_pyramid, grading_of,
 from .structure import Chi, low_degree_units, symplectic_pairs
 
 Word = tuple[int, ...]
+# Coefficients inside a product stay ints while they are whole: int
+# arithmetic is many times cheaper than Fraction arithmetic.  Elements
+# hold Fractions only.
+Coeff = int | Fraction
+
+
+def _int_if_whole(c: Fraction) -> Coeff:
+    return c.numerator if c.denominator == 1 else c
+
+
+def _add_term(out: dict[Word, Coeff], key: Word, c: Coeff):
+    """out[key] += c, dropping the key when the sum is zero."""
+    c += out.get(key, 0)
+    if c:
+        out[key] = c
+    else:
+        del out[key]
 
 
 @dataclass(frozen=True)
@@ -40,7 +63,7 @@ class Symbol:
 
 
 class PbwContext:
-    """Ordered basis of gl_N plus the straightening machinery on words."""
+    """Ordered basis of gl_N plus multiplication on its normal monomials."""
 
     def __init__(self, n: int, symbols: list[Symbol], grading: Grading,
                  pyramid: Pyramid | None = None,
@@ -65,7 +88,8 @@ class PbwContext:
             raise ValueError("m-symbols must come last in the order")
         self._unit_expansion = self._compute_unit_expansions()
         self._bracket_cache: dict[tuple[int, int], tuple] = {}
-        self._norm_cache: dict[Word, dict[Word, Fraction]] = {}
+        # (a, word) -> x_a * word for a normal monomial word
+        self._left_products: dict[tuple[int, Word], dict[Word, Coeff]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -172,10 +196,11 @@ class PbwContext:
             add_scaled(terms, self._unit_expansion[key], v)
         return PbwElement(self, terms)
 
-    # -- straightening -----------------------------------------------------
+    # -- multiplication ----------------------------------------------------
 
     def _bracket_expansion(self, a: int, b: int):
-        """[x_a, x_b] as sorted pairs (one-letter word, coefficient)."""
+        """[x_a, x_b] as sorted pairs (one-letter word, coefficient), each
+        coefficient an int when it is whole."""
         key = (a, b)
         cached = self._bracket_cache.get(key)
         if cached is not None:
@@ -183,39 +208,94 @@ class PbwContext:
         xa = self.symbols[a].gl
         xb = self.symbols[b].gl
         br = xa.matmul(xb) - xb.matmul(xa)
-        result = tuple(sorted(self.from_gl(br).terms.items()))
+        result = tuple(sorted((w, _int_if_whole(c))
+                              for w, c in self.from_gl(br).terms.items()))
         self._bracket_cache[key] = result
         return result
 
-    def _normalize_word(self, word: Word) -> dict[Word, Fraction]:
-        cached = self._norm_cache.get(word)
-        if cached is not None:
-            return cached
-        pos = None
-        for t in range(len(word) - 1):
-            if word[t] > word[t + 1]:
-                pos = t
+    def _left_multiply(self, a: int, word: Word) -> dict[Word, Coeff]:
+        """x_a times the normal monomial word, as normal monomials.
+
+        The suffixes of word are taken from the right, by
+        x_a b rest = b (x_a rest) + [x_a, b] rest, starting from the longest
+        suffix whose product is already memoized; the suffixes that start
+        at a letter >= a need no rewriting.  Every product computed on the
+        way is memoized on (a, suffix).  The returned dict is shared with
+        the memo and must not be modified.
+        """
+        memo = self._left_products
+        done = memo.get((a, word))
+        if done is not None:
+            return done
+        start = bisect_left(word, a)
+        if not start:
+            return {(a,) + word: 1}
+        t = 0
+        while t < start:
+            done = memo.get((a, word[t:]))
+            if done is not None:
                 break
-        if pos is None:
-            result = {word: Fraction(1)}
+            t += 1
         else:
-            a, b = word[pos], word[pos + 1]
-            swapped = word[:pos] + (b, a) + word[pos + 2:]
-            result = dict(self._normalize_word(swapped))
-            for letter, c in self._bracket_expansion(a, b):
-                shorter = word[:pos] + letter + word[pos + 2:]
-                add_scaled(result, self._normalize_word(shorter), c)
-        self._norm_cache[word] = result
-        return result
+            done = {(a,) + word[start:]: 1}
+        for t in range(t - 1, -1, -1):
+            b = word[t]
+            rest = word[t + 1:]
+            out: dict[Word, Coeff] = {}
+            for w, c in done.items():
+                self._add_left(out, b, w, c)
+            for (letter,), c in self._bracket_expansion(a, b):
+                self._add_left(out, letter, rest, c)
+            memo[(a, word[t:])] = done = out
+        return done
+
+    def _add_left(self, out: dict[Word, Coeff], a: int, word: Word,
+                  c: Coeff):
+        """out += c * x_a * word; a plain prepend when a <= every letter."""
+        if word and a > word[0]:
+            add_scaled(out, self._left_multiply(a, word), c)
+        else:
+            _add_term(out, (a,) + word, c)
 
     def multiply(self, u: "PbwElement", v: "PbwElement") -> "PbwElement":
+        """u * v; the terms of both are normal monomials, and so are the
+        terms of the product.
+
+        The letters of each left word move in from the right, each one a
+        left multiplication of the whole right factor, until the next
+        letter is <= every leading letter; the rest of the left word is
+        then a plain prefix.  Left words that reach the same prefix go on
+        as one.  A one-letter left word times a monomial, both with
+        coefficient 1, needs no collection: the memoized product is read
+        as it is.
+        """
         if u.ctx is not v.ctx or u.ctx is not self:
             raise ValueError("elements from different contexts")
-        terms: dict[Word, Fraction] = {}
+        if len(u.terms) == 1 and len(v.terms) == 1:
+            ((wu, cu),) = u.terms.items()
+            ((wv, cv),) = v.terms.items()
+            if len(wu) == 1 and cu == 1 and cv == 1:
+                return _element(self, self._left_multiply(wu[0], wv))
+        right = {w: _int_if_whole(c) for w, c in v.terms.items()}
+        # pending[k][p]: terms still to be multiplied on the left by the
+        # normal monomial p of length k
+        pending: list[dict[Word, dict[Word, Coeff]]] = [
+            {} for _ in range(1 + max(map(len, u.terms), default=0))]
         for wu, cu in u.terms.items():
-            for wv, cv in v.terms.items():
-                add_scaled(terms, self._normalize_word(wu + wv), cu * cv)
-        return PbwElement(self, terms)
+            add_scaled(pending[len(wu)].setdefault(wu, {}), right,
+                       _int_if_whole(cu))
+        terms: dict[Word, Coeff] = {}
+        for k in range(len(pending) - 1, -1, -1):
+            for prefix, todo in pending[k].items():
+                if not prefix or all(not w or prefix[-1] <= w[0]
+                                     for w in todo):
+                    for w, c in todo.items():
+                        _add_term(terms, prefix + w, c)
+                    continue
+                out = pending[k - 1].setdefault(prefix[:-1], {})
+                for w, c in todo.items():
+                    self._add_left(out, prefix[-1], w, c)
+        return _element(self, terms)
 
     # -- structure maps ----------------------------------------------------
 
@@ -355,16 +435,25 @@ class PbwContext:
                     out[d] = out.get(d, self.zero()) + prod
             return {d: u for d, u in out.items() if not u.is_zero()}
 
-        total: dict[int, PbwElement] = {}
-        for perm in itertools.permutations(range(n)):
-            sgn = _sign(perm)
-            acc = {0: self.scalar(sgn)}
-            for i in range(n):
-                acc = poly_mul(acc, entry(i, perm[i]))
-                if not acc:
-                    break
-            for d, u in acc.items():
-                total[d] = total.get(d, self.zero()) + u
+        # Row by row: the sum, over the ways of giving rows 0..i-1 the
+        # columns in a set, of the signed row-ordered products.  Column j
+        # in row i adds one inversion per used column right of j.
+        layer: dict[int, dict] = {0: {0: self.one()}}
+        for i in range(n):
+            row = [(j, e) for j in range(n) if (e := entry(i, j))]
+            nxt: dict[int, dict] = {}
+            for used, acc in layer.items():
+                for j, e in row:
+                    if used >> j & 1:
+                        continue
+                    odd = (used >> j).bit_count() % 2
+                    dst = nxt.setdefault(used | 1 << j, {})
+                    for d, u in poly_mul(acc, e).items():
+                        base = dst.get(d, self.zero())
+                        dst[d] = base - u if odd else base + u
+            layer = {used: {d: u for d, u in acc.items() if not u.is_zero()}
+                     for used, acc in nxt.items()}
+        total = layer.get((1 << n) - 1, {})
         lead = total.get(n, self.zero())
         if lead != self.one():
             raise AssertionError("row determinant is not monic")
@@ -427,10 +516,10 @@ class PbwContext:
         return out
 
 
-def _sign(perm) -> int:
-    inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-              if perm[a] > perm[b])
-    return -1 if inv % 2 else 1
+def _element(ctx: PbwContext, terms: dict[Word, Coeff]) -> "PbwElement":
+    """The element with the given nonzero terms, coefficients as Fractions."""
+    return PbwElement(ctx, {w: c if type(c) is Fraction else Fraction(c)
+                            for w, c in terms.items()})
 
 
 class PbwElement:

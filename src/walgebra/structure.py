@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .gl import GlElement, Grading, ad_matrix, bracket, trace_form, unit_index
 from .linalg import Echelon, SparseMatrix, add_scaled, kernel_basis, rank
+from .partitions import centralizer_dim
 from .pyramids import Pyramid, grading_of, nilpotent_of, rows_by_labels
 
 
@@ -358,6 +359,6 @@ def slodowy_degrees(p: Pyramid) -> list[int]:
         dim_kernel = len(src) - rank(mat)
         total += dim_kernel
         out.extend([int(2 - d)] * dim_kernel)
-    if total != p.n * p.n - rank(ad_matrix(triple.e)):
+    if total != centralizer_dim(p.shape):
         raise AssertionError("graded centralizer of f has the wrong size")
     return sorted(out)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walgebra.gl import GlElement, bracket
 from walgebra.partitions import Partition
@@ -54,6 +55,84 @@ def test_multiply_straightening_step_gl2():
     assert len(prod.terms) == 1 and list(prod.terms.values()) == [Fraction(1)]
     assert (e21 * e12) == prod - e11 + e22
     assert (e12 * e21) - (e21 * e12) == e11 - e22
+
+
+def rewrite_oracle(ctx, word):
+    """Normal form of any word by rewriting its leftmost inversion,
+    x_a x_b = x_b x_a + [x_a, x_b], without a memo: the word-rewriting
+    product that the normal-monomial multiplication replaced."""
+    for t in range(len(word) - 1):
+        a, b = word[t], word[t + 1]
+        if a > b:
+            out = dict(rewrite_oracle(ctx, word[:t] + (b, a) + word[t + 2:]))
+            br = ctx.from_gl(bracket(ctx.symbols[a].gl, ctx.symbols[b].gl))
+            for letter, c in br.terms.items():
+                shorter = word[:t] + letter + word[t + 2:]
+                for w, v in rewrite_oracle(ctx, shorter).items():
+                    out[w] = out.get(w, 0) + c * v
+            return {w: v for w, v in out.items() if v}
+    return {word: Fraction(1)}
+
+
+ORACLE_CONTEXTS = {
+    "gl3": PbwContext.standard(3),
+    "dynkin(2,1)": PbwContext.from_pyramid(dynkin_pyramid(Partition((2, 1)))),
+    "dynkin(3,2)": PbwContext.from_pyramid(dynkin_pyramid(Partition((3, 2)))),
+}
+
+
+def normal_elements(nsym):
+    word = st.lists(st.integers(0, nsym - 1), max_size=4).map(
+        lambda w: tuple(sorted(w)))
+    coeff = st.integers(-3, 3).filter(bool).map(Fraction)
+    return st.dictionaries(word, coeff, min_size=1, max_size=2)
+
+
+def test_oracle_pyramid_contexts_have_pq_symbols():
+    for name, ctx in ORACLE_CONTEXTS.items():
+        if name != "gl3":
+            assert any(sym.kind == "c" for sym in ctx.symbols)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONTEXTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_multiply_matches_rewriting_oracle(name, data):
+    ctx = ORACLE_CONTEXTS[name]
+    left = data.draw(normal_elements(len(ctx.symbols)))
+    right = data.draw(normal_elements(len(ctx.symbols)))
+    expected: dict = {}
+    for wu, cu in left.items():
+        for wv, cv in right.items():
+            for w, v in rewrite_oracle(ctx, wu + wv).items():
+                expected[w] = expected.get(w, 0) + cu * cv * v
+    product = PbwElement(ctx, left) * PbwElement(ctx, right)
+    assert product == PbwElement(ctx, expected)
+
+
+def test_multiply_deep_word_closed_form():
+    # Order E11 < E12 < E21 < E22: E21 * E12^m needs m swaps to normal form,
+    # E21 E12^m = E12^m E21 - m E11 E12^(m-1) + m E12^(m-1) E22.
+    ctx = PbwContext.standard(2)
+    e11, e12, e21, e22 = range(4)
+    m = 2000
+    prod = ctx.multiply(ctx.symbol_element(e21),
+                        PbwElement(ctx, {(e12,) * m: Fraction(1)}))
+    assert prod.terms == {(e12,) * m + (e21,): 1,
+                          (e11,) + (e12,) * (m - 1): -m,
+                          (e12,) * (m - 1) + (e22,): m}
+
+
+def test_multiply_high_powers_associative():
+    ctx = PbwContext.standard(2)
+
+    def power(s, k):
+        return PbwElement(ctx, {(s,) * k: Fraction(1)})
+
+    e12, e21 = 1, 2
+    full = power(e21, 16) * power(e12, 16)
+    assert full == power(e21, 8) * (power(e21, 8) * power(e12, 16))
+    assert full == (power(e21, 16) * power(e12, 8)) * power(e12, 8)
 
 
 def test_multiply_unit_and_scalars():
@@ -178,6 +257,44 @@ def test_rdet_generators_small():
     assert w1 == ctx.from_gl(eu(2, 1, 1)) + ctx.from_gl(eu(2, 2, 2)) + 3
     e11, e22 = ctx.from_gl(eu(2, 1, 1)), ctx.from_gl(eu(2, 2, 2))
     assert w2 == (e11 + 1) * (e22 + 2) - ctx.from_gl(eu(2, 1, 2))
+
+
+def rdet_permutation_oracle(ctx):
+    """rdet_w_generators as the signed sum over all n! permutations of
+    the row-ordered products of entries."""
+    n = ctx.n
+
+    def entry(i, j):
+        if j > i:
+            return {0: ctx.from_gl(GlElement.unit(n, i, j))}
+        if j == i:
+            return {0: ctx.from_gl(GlElement.unit(n, i, i)) + (i + 1),
+                    1: ctx.one()}
+        if j == i - 1:
+            return {0: ctx.one()}
+        return {}
+
+    total: dict = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b]
+                         for a, b in itertools.combinations(range(n), 2))
+        acc = {0: ctx.scalar(-1 if inversions % 2 else 1)}
+        for i in range(n):
+            nxt: dict = {}
+            for da, ua in acc.items():
+                for db, ub in entry(i, perm[i]).items():
+                    nxt[da + db] = nxt.get(da + db, ctx.zero()) + ua * ub
+            acc = nxt
+        for d, u in acc.items():
+            total[d] = total.get(d, ctx.zero()) + u
+    assert total[n] == ctx.one()
+    return [total.get(n - i, ctx.zero()) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rdet_matches_permutation_sum(n):
+    ctx = reg_ctx(n)
+    assert ctx.rdet_w_generators() == rdet_permutation_oracle(ctx)
 
 
 def test_rdet_generators_invariant_and_commuting():
